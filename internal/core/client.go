@@ -136,9 +136,9 @@ func (m *clientMetrics) registerCongestion(reg *telemetry.Registry) {
 		"Positional writes merged into an adjacent in-flight frame instead of taking their own wire operation.", &m.coalesced)
 }
 
-// newClient builds the Client from a normalized config around an
-// established connection; both constructor surfaces (ClientConfig and the
-// deprecated options) funnel through here.
+// newClient builds the Client from a validated config around an
+// established connection; ClientConfig.Dial and ClientConfig.Client both
+// funnel through here.
 func (cfg ClientConfig) newClient(nc net.Conn) *Client {
 	n := cfg.normalized()
 	c := &Client{
@@ -202,16 +202,6 @@ func (c *Client) Stats() ClientStats {
 		s.Cwnd, s.SRTT, s.RTTVar, s.Inflight = c.cg.snapshot()
 	}
 	return s
-}
-
-// Metrics returns the five original fault counters positionally: retries,
-// timeouts, reconnects, replays, lost ops.
-//
-// Deprecated: use Stats, which names the fields and carries the
-// congestion-control counters too.
-func (c *Client) Metrics() (retries, timeouts, reconnects, replays, lost uint64) {
-	s := c.Stats()
-	return s.Retries, s.Timeouts, s.Reconnects, s.Replays, s.LostOps
 }
 
 // readLoop demultiplexes responses to their callers by request id. One loop

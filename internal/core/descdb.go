@@ -16,22 +16,26 @@ var descSeq atomic.Uint64
 // operation counter, the set of in-progress staged operations, and the first
 // unreported deferred error.
 //
-// Ordering contract: all of a descriptor's queued operations live on one
-// scheduler shard (hashed by sid) and the scheduler never runs two of them
-// concurrently, so staged operations execute in opNum order. Offsets are
-// still reserved at staging time, and the deferred-error bookkeeping in
-// complete() remains exactly-once regardless of execution interleaving — the
-// contract makes execution order deterministic, it is not load-bearing for
-// data placement.
+// Ordering rule — stated once here; server.go and spill.go refer to it.
+// Each executor keeps a descriptor's writes in order, and the spill tier
+// is kept from racing the others:
 //
-// The spill tier is a second executor outside the shard, so it carries its
-// own serialization: while any of the descriptor's spilled records are
-// still live in the WAL (spillLive > 0 — appended but not yet released by
-// segment truncation), every subsequent write on the descriptor routes
-// through the WAL too, whose per-name FIFO preserves order both live and
-// across a crash replay. Only when the WAL refuses does the server wait
-// for the live records to be released (waitSpillReleased) before letting
-// the write reach the backend by the shard or sync path.
+//   - Queued and staged operations all live on one scheduler shard (hashed
+//     by sid), and the scheduler never runs two of them concurrently, so
+//     they execute in opNum order. Offsets are reserved at admission, and
+//     complete() keeps deferred-error reporting exactly-once regardless of
+//     interleaving.
+//   - The spill tier is a second executor outside the shard. While any of
+//     the descriptor's spilled records are still live in the WAL
+//     (spillLive > 0: appended but not yet released by segment
+//     truncation, so a crash recovery could re-apply them), every later
+//     write on the descriptor is placed in the WAL too, whose per-name FIFO
+//     keeps them ordered both live and across a replay. If the WAL refuses
+//     one, the write waits for the live records to be released
+//     (waitSpillReleased) before it may take another path.
+//
+// Nothing orders a degraded or spilled write after the descriptor's staged
+// writes still in the queue: on overlapping offsets it can land first.
 type descriptor struct {
 	fd     uint64
 	sid    uint64 // scheduler shard ticket, from descSeq
@@ -145,8 +149,7 @@ func (d *descriptor) spillRelease() {
 }
 
 // spillPending reports whether any of the descriptor's spilled records are
-// still live in the WAL — replayable by a crash recovery, so subsequent
-// writes must not reach the backend by another executor.
+// still live in the WAL (see the ordering rule on descriptor).
 func (d *descriptor) spillPending() bool {
 	d.mu.Lock()
 	p := d.spillLive > 0

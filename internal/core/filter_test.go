@@ -7,7 +7,6 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
-	"net"
 	"testing"
 )
 
@@ -94,12 +93,7 @@ func TestFilterChainErrorPropagates(t *testing.T) {
 func TestServerSideReduction(t *testing.T) {
 	backend := NewMemBackend()
 	chain := NewFilterChain(&SubsampleFilter{RecordBytes: 8, Keep1InN: 4})
-	srv := NewServer(Config{Mode: ModeAsync, Workers: 2, Backend: backend, Filters: chain})
-	cc, sc := net.Pipe()
-	go func() { _ = srv.ServeConn(sc) }()
-	c := NewClient(cc)
-	defer c.Close()
-	defer srv.Close()
+	c, _ := pipePair(t, Config{Mode: ModeAsync, Workers: 2, Backend: backend, Filters: chain})
 
 	f, err := c.Open(context.Background(), "reduced")
 	if err != nil {
@@ -136,12 +130,7 @@ func TestServerSideReduction(t *testing.T) {
 func TestObserveOnlyFilterKeepsDataIntact(t *testing.T) {
 	backend := NewMemBackend()
 	sum := NewChecksumFilter()
-	srv := NewServer(Config{Mode: ModeWorkQueue, Workers: 1, Backend: backend, Filters: NewFilterChain(sum)})
-	cc, sc := net.Pipe()
-	go func() { _ = srv.ServeConn(sc) }()
-	c := NewClient(cc)
-	defer c.Close()
-	defer srv.Close()
+	c, _ := pipePair(t, Config{Mode: ModeWorkQueue, Workers: 1, Backend: backend, Filters: NewFilterChain(sum)})
 
 	f, err := c.Open(context.Background(), "intact")
 	if err != nil {

@@ -130,6 +130,11 @@ func decodeHeader(b *[headerSize]byte, h *header) error {
 	h.offset = binary.BigEndian.Uint64(b[24:])
 	h.length = binary.BigEndian.Uint32(b[32:])
 	h.pathLen = binary.BigEndian.Uint16(b[36:])
+	// Checked once here for both directions, before any reader sizes a
+	// buffer from the peer's declared length.
+	if h.length > MaxPayload {
+		return fmt.Errorf("%w: frame length %d exceeds MaxPayload %d", EINVAL, h.length, MaxPayload)
+	}
 	return nil
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -19,16 +21,21 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHeaderRoundTripProperty: every header whose length is within
+// MaxPayload survives encode/decode, and every longer one is rejected at
+// decode with EINVAL.
 func TestHeaderRoundTripProperty(t *testing.T) {
 	prop := func(op uint8, flags uint16, reqID, fd, offset uint64, length uint32, pathLen uint16) bool {
-		in := header{op: Op(op), flags: flags, reqID: reqID, fd: fd, offset: offset, length: length, pathLen: pathLen}
+		in := header{op: Op(op), flags: flags, reqID: reqID, fd: fd, offset: offset, length: length % (MaxPayload + 1), pathLen: pathLen}
 		var b [headerSize]byte
 		in.encode(&b)
 		var out header
-		if err := decodeHeader(&b, &out); err != nil {
+		if err := decodeHeader(&b, &out); err != nil || out != in {
 			return false
 		}
-		return out == in
+		in.length = MaxPayload + 1 + length%(math.MaxUint32-MaxPayload)
+		in.encode(&b)
+		return errors.Is(decodeHeader(&b, &out), EINVAL)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)

@@ -34,6 +34,53 @@ func TestGarbageInputRejected(t *testing.T) {
 			t.Fatalf("trial %d: server hung on garbage input", trial)
 		}
 	}
+
+	// A well-formed write header declaring more than MaxPayload, on an open
+	// descriptor, is rejected at decode: the connection closes and no
+	// staging buffer stays reserved.
+	cc, sc := net.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- srv.ServeConn(sc) }()
+	c := mustClient(t, cc, ClientConfig{})
+	defer c.Close()
+	f, err := c.Open(context.Background(), "big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hb [headerSize]byte
+	(&header{op: OpWrite, reqID: 1 << 40, fd: f.fd, length: MaxPayload + 1}).encode(&hb)
+	_ = cc.SetWriteDeadline(time.Now().Add(time.Second))
+	_, _ = cc.Write(hb[:])
+	select {
+	case err := <-done:
+		if !errors.Is(err, EINVAL) {
+			t.Fatalf("oversized write header: ServeConn returned %v, want EINVAL", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server kept serving after an oversized write header")
+	}
+	if used := srv.bml.Used(); used != 0 {
+		t.Fatalf("BML holds %d bytes after an oversized write header", used)
+	}
+
+	// A reply header declaring more than MaxPayload fails the pending call
+	// instead of sizing a client buffer from it.
+	cc, sc = net.Pipe()
+	fake := mustClient(t, cc, ClientConfig{Timeout: 5 * time.Second})
+	defer fake.Close()
+	go func() {
+		var h header
+		if err := readHeader(sc, &h); err != nil {
+			return
+		}
+		_, _ = io.CopyN(io.Discard, sc, int64(h.pathLen))
+		var hb [headerSize]byte
+		(&header{reqID: h.reqID, length: MaxPayload + 1}).encode(&hb)
+		_, _ = sc.Write(hb[:])
+	}()
+	if _, err := fake.Open(context.Background(), "x"); !errors.Is(err, ErrConnectionLost) {
+		t.Fatalf("oversized reply header: got %v, want ErrConnectionLost", err)
+	}
 }
 
 // TestTruncatedFrame: a header promising more payload than arrives must
@@ -46,7 +93,7 @@ func TestTruncatedFrame(t *testing.T) {
 	done := make(chan struct{})
 	go func() { _ = srv.ServeConn(sc); close(done) }()
 
-	c := NewClient(cc)
+	c := mustClient(t, cc, ClientConfig{})
 	f, err := c.Open(context.Background(), "t")
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +124,7 @@ func TestTruncatedFrame(t *testing.T) {
 // every in-flight and subsequent call errors out instead of hanging.
 func TestClientFailsPendingCallsOnDisconnect(t *testing.T) {
 	cc, sc := net.Pipe()
-	c := NewClient(cc)
+	c := mustClient(t, cc, ClientConfig{})
 	errs := make(chan error, 1)
 	go func() {
 		_, err := c.Open(context.Background(), "x")
@@ -107,7 +154,7 @@ func TestClientFailsPendingCallsOnDisconnect(t *testing.T) {
 // the wire.
 func TestOversizedWriteRejectedClientSide(t *testing.T) {
 	cc, _ := net.Pipe()
-	c := NewClient(cc)
+	c := mustClient(t, cc, ClientConfig{})
 	defer c.Close()
 	f := &File{c: c, fd: 3}
 	if _, err := f.Write(make([]byte, MaxPayload+1)); !errors.Is(err, EINVAL) {
@@ -119,11 +166,7 @@ func TestOversizedWriteRejectedClientSide(t *testing.T) {
 // get a clean ECLOSED error from the closed task queue, never a process
 // panic (regression test for the old `put on closed task queue` panic).
 func TestShutdownRaceReturnsECLOSED(t *testing.T) {
-	srv := NewServer(Config{Mode: ModeWorkQueue, Workers: 2})
-	cc, sc := net.Pipe()
-	go func() { _ = srv.ServeConn(sc) }()
-	c := NewClient(cc)
-	defer c.Close()
+	c, srv := pipePair(t, Config{Mode: ModeWorkQueue, Workers: 2})
 	f, err := c.Open(context.Background(), "race")
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +203,7 @@ func TestShutdownRaceReturnsECLOSED(t *testing.T) {
 func TestClientErrorsAreTyped(t *testing.T) {
 	// Transport failure -> ErrConnectionLost, carrying the cause.
 	cc, sc := net.Pipe()
-	c := NewClient(cc)
+	c := mustClient(t, cc, ClientConfig{})
 	_ = sc.Close()
 	if _, err := c.Open(context.Background(), "x"); !errors.Is(err, ErrConnectionLost) {
 		t.Fatalf("after transport failure: want ErrConnectionLost wrap, got %v", err)
@@ -172,7 +215,7 @@ func TestClientErrorsAreTyped(t *testing.T) {
 
 	// Local Close -> ErrClientClosed.
 	cc2, _ := net.Pipe()
-	c2 := NewClient(cc2)
+	c2 := mustClient(t, cc2, ClientConfig{})
 	_ = c2.Close()
 	if _, err := c2.Open(context.Background(), "z"); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("after Close: want ErrClientClosed wrap, got %v", err)
@@ -180,10 +223,10 @@ func TestClientErrorsAreTyped(t *testing.T) {
 }
 
 // TestOpDeadline: a server that goes silent must not hang a client with
-// WithTimeout; the error wraps ErrOpTimeout.
+// a Timeout; the error wraps ErrOpTimeout.
 func TestOpDeadline(t *testing.T) {
 	cc, sc := net.Pipe()
-	c := NewClient(cc, WithTimeout(100*time.Millisecond))
+	c := mustClient(t, cc, ClientConfig{Timeout: 100 * time.Millisecond})
 	defer c.Close()
 	go func() {
 		var h header
@@ -201,7 +244,7 @@ func TestOpDeadline(t *testing.T) {
 	if time.Since(start) > 3*time.Second {
 		t.Fatal("deadline did not bound the call")
 	}
-	if _, timeouts, _, _, _ := c.Metrics(); timeouts == 0 {
+	if c.Stats().Timeouts == 0 {
 		t.Fatal("timeout not counted")
 	}
 }
@@ -236,7 +279,7 @@ func (h *slowHandle) Close() error                            { return h.inner.C
 
 // TestOverloadShedAndRetry: past the queue high-water mark the server must
 // refuse data ops with EAGAIN instead of queueing unboundedly, and a client
-// with WithRetry must absorb the sheds transparently.
+// with MaxRetries must absorb the sheds transparently.
 func TestOverloadShedAndRetry(t *testing.T) {
 	// ModeAsync acks staged writes immediately, so a single connection can
 	// flood the queue faster than the slow worker drains it.
@@ -252,7 +295,7 @@ func TestOverloadShedAndRetry(t *testing.T) {
 	defer srv.Close()
 
 	// Without retries: hammering concurrently must surface EAGAIN.
-	c, err := Dial("tcp", l.Addr().String())
+	c, err := ClientConfig{}.Dial(context.Background(), "tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +327,9 @@ func TestOverloadShedAndRetry(t *testing.T) {
 	}
 
 	// With retries: every op must eventually succeed.
-	cr, err := Dial("tcp", l.Addr().String(),
-		WithRetry(50, time.Millisecond, 20*time.Millisecond), WithSeed(11))
+	cr, err := ClientConfig{
+		MaxRetries: 50, RetryBase: time.Millisecond, RetryMax: 20 * time.Millisecond, Seed: 11,
+	}.Dial(context.Background(), "tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +351,7 @@ func TestOverloadShedAndRetry(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if retries, _, _, _, _ := cr.Metrics(); retries == 0 {
+	if cr.Stats().Retries == 0 {
 		t.Log("note: no retries needed (queue drained fast); shed path still covered above")
 	}
 }
@@ -343,35 +387,65 @@ func (h *panicNthHandle) Sync() error                             { return h.inn
 func (h *panicNthHandle) Size() (int64, error)                    { return h.inner.Size() }
 func (h *panicNthHandle) Close() error                            { return h.inner.Close() }
 
-// TestWorkerPanicRecovery: a panicking backend task must fail exactly that
-// op with EIO while the pool keeps serving.
+// TestWorkerPanicRecovery: a backend panic must fail exactly that op with
+// EIO while the server keeps serving, wherever the op executes — on a
+// worker (workqueue), inline on the handler (direct), or inline as a
+// degraded async write — and count once under the executing scope of
+// iofwd_panics_total.
 func TestWorkerPanicRecovery(t *testing.T) {
-	srv := NewServer(Config{
-		Mode: ModeWorkQueue, Workers: 2,
-		Backend: &panicNthBackend{inner: NewMemBackend(), n: 2},
-	})
-	cc, sc := net.Pipe()
-	go func() { _ = srv.ServeConn(sc) }()
-	c := NewClient(cc)
-	defer c.Close()
-	f, err := c.Open(context.Background(), "p")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		cfg   Config
+		pin   bool // hold the whole staging pool so every write degrades
+		scope string
+	}{
+		{"workqueue", Config{Mode: ModeWorkQueue, Workers: 2}, false, "worker"},
+		{"direct", Config{Mode: ModeDirect}, false, "conn"},
+		{"async-degraded", Config{Mode: ModeAsync, Workers: 2, BMLBytes: 4096, BMLTimeout: time.Millisecond}, true, "conn"},
 	}
-	buf := make([]byte, 1024)
-	if _, err := f.WriteAt(buf, 0); err != nil {
-		t.Fatalf("op 1: %v", err)
-	}
-	if _, err := f.WriteAt(buf, 1024); !errors.Is(err, EIO) {
-		t.Fatalf("op 2: want EIO from recovered panic, got %v", err)
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := f.WriteAt(buf, int64(2+i)*1024); err != nil {
-			t.Fatalf("op %d after panic: %v", 3+i, err)
-		}
-	}
-	if got := srv.Stats().WorkerPanics; got != 1 {
-		t.Fatalf("worker panics counted: %d", got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Backend = &panicNthBackend{inner: NewMemBackend(), n: 2}
+			c, srv := pipePair(t, cfg)
+			if tc.pin {
+				pin := srv.bml.Get(int(srv.bml.Capacity()))
+				defer srv.bml.Put(pin)
+			}
+			f, err := c.Open(context.Background(), "p")
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 1024)
+			if _, err := f.WriteAt(buf, 0); err != nil {
+				t.Fatalf("op 1: %v", err)
+			}
+			if _, err := f.WriteAt(buf, 1024); !errors.Is(err, EIO) {
+				t.Fatalf("op 2: want EIO from recovered panic, got %v", err)
+			}
+			for i := 0; i < 8; i++ {
+				if _, err := f.WriteAt(buf, int64(2+i)*1024); err != nil {
+					t.Fatalf("op %d after panic: %v", 3+i, err)
+				}
+			}
+			if tc.pin {
+				if got := srv.Stats().Degraded; got != 10 {
+					t.Fatalf("degraded writes: %d, want 10", got)
+				}
+			}
+			for scope, got := range map[string]uint64{
+				"worker": srv.metrics.workerPanics.Value(),
+				"conn":   srv.metrics.connPanics.Value(),
+			} {
+				want := uint64(0)
+				if scope == tc.scope {
+					want = 1
+				}
+				if got != want {
+					t.Errorf("iofwd_panics_total{scope=%q} = %d, want %d", scope, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -413,15 +487,10 @@ func (h *gateHandle) Close() error                            { return h.inner.C
 func TestBMLTimeoutDegradesToSync(t *testing.T) {
 	mem := NewMemBackend()
 	gate := &gateBackend{inner: mem, release: make(chan struct{})}
-	srv := NewServer(Config{
+	c, srv := pipePair(t, Config{
 		Mode: ModeAsync, Workers: 1, BMLBytes: 4096, BMLTimeout: 25 * time.Millisecond,
 		Backend: gate,
 	})
-	defer srv.Close()
-	cc, sc := net.Pipe()
-	go func() { _ = srv.ServeConn(sc) }()
-	c := NewClient(cc)
-	defer c.Close()
 	f, err := c.Open(context.Background(), "d")
 	if err != nil {
 		t.Fatal(err)
@@ -490,8 +559,8 @@ func TestReconnectReplaysIdempotentOps(t *testing.T) {
 	go func() { _ = srv.Serve(l) }()
 	defer srv.Close()
 
-	c, err := Dial("tcp", l.Addr().String(),
-		WithReconnect(8), WithSeed(3), WithTimeout(10*time.Second))
+	c, err := ClientConfig{ReconnectAttempts: 8, Seed: 3, Timeout: 10 * time.Second}.
+		Dial(context.Background(), "tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,9 +592,8 @@ func TestReconnectReplaysIdempotentOps(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatalf("sync after reconnect: %v", err)
 	}
-	_, _, reconnects, replays, _ := c.Metrics()
-	if reconnects == 0 || replays == 0 {
-		t.Fatalf("reconnects=%d replays=%d, want both > 0", reconnects, replays)
+	if st := c.Stats(); st.Reconnects == 0 || st.Replays == 0 {
+		t.Fatalf("reconnects=%d replays=%d, want both > 0", st.Reconnects, st.Replays)
 	}
 	data, _ := mem.Bytes("replay")
 	if len(data) != 8192 || !bytes.Equal(data[:4096], payload) || !bytes.Equal(data[4096:], payload) {
@@ -548,8 +616,8 @@ func TestReconnectFailsNonIdempotentFast(t *testing.T) {
 	go func() { _ = srv.Serve(l) }()
 	defer srv.Close()
 
-	c, err := Dial("tcp", l.Addr().String(),
-		WithReconnect(8), WithSeed(5), WithTimeout(10*time.Second))
+	c, err := ClientConfig{ReconnectAttempts: 8, Seed: 5, Timeout: 10 * time.Second}.
+		Dial(context.Background(), "tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,7 +664,7 @@ func TestWorkerPoolSurvivesManyConnections(t *testing.T) {
 	go func() { _ = srv.Serve(l) }()
 	defer srv.Close()
 	for i := 0; i < 50; i++ {
-		c, err := Dial("tcp", l.Addr().String())
+		c, err := ClientConfig{}.Dial(context.Background(), "tcp", l.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -610,7 +678,7 @@ func TestWorkerPoolSurvivesManyConnections(t *testing.T) {
 		_ = c.Close() // abrupt: leaves the fd open, teardown must cope
 	}
 	// The pool still works afterwards.
-	c, err := Dial("tcp", l.Addr().String())
+	c, err := ClientConfig{}.Dial(context.Background(), "tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -383,14 +383,17 @@ func (s *Server) worker(id int) {
 	}
 }
 
-// runTask executes the backend call for one task, converting a backend
-// panic into an EIO failure of that operation alone so a buggy or
-// fault-injected backend cannot take down the worker pool.
-func (s *Server) runTask(t *task) (err error) {
+// runTask executes the backend call for one task, on a worker or inline on
+// a connection handler. It is the one place a backend panic is recovered:
+// the panic becomes an EIO failure of that operation alone, counted on
+// panics (the iofwd_panics_total scope of the caller), so a buggy or
+// fault-injected backend cannot take down the worker pool or the
+// connection.
+func (s *Server) runTask(t *task, panics *telemetry.Counter) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.metrics.workerPanics.Inc()
-			err = fmt.Errorf("%w: worker recovered panic: %v", EIO, r)
+			panics.Inc()
+			err = fmt.Errorf("%w: recovered backend panic: %v", EIO, r)
 		}
 	}()
 	switch t.op {
@@ -407,8 +410,10 @@ func (s *Server) runTask(t *task) (err error) {
 // snapshot taken after a drain sees every completed task. It returns the
 // completion timestamp for the worker's chained batch timing.
 func (s *Server) execute(t *task, start time.Time) time.Time {
-	err := s.runTask(t)
-	if t.op == OpWrite {
+	err := s.runTask(t, s.metrics.workerPanics)
+	if t.done == nil {
+		// A staged write's buffer belongs to the worker; a synchronous
+		// task's buffer belongs to the handler waiting on done.
 		s.bml.Put(t.buf)
 	}
 	end := time.Now()

@@ -266,8 +266,8 @@ type serverConn struct {
 }
 
 func (c *serverConn) run() (err error) {
-	// A panic in a handler (a buggy backend on the direct path, a filter)
-	// costs this connection, never the process; the deferred teardown in
+	// A panic in a handler outside the backend call (a filter, say) costs
+	// this connection, never the process; the deferred teardown in
 	// ServeConn still drains and closes the connection's descriptors.
 	defer func() {
 		if r := recover(); r != nil {
@@ -334,10 +334,12 @@ func (c *serverConn) replyFrame(reqID uint64, flags uint16, errno Errno, frame [
 	if errno != EOK {
 		m.replyErrors.Inc()
 	}
+	// Counted before the wire write, so a client that has seen the reply
+	// also sees the count.
+	m.zeroCopyReplies.Inc()
 	t0 := time.Now()
 	_, err := c.nc.Write(frame[:headerSize+n])
 	m.stageReply.Observe(time.Since(t0).Nanoseconds())
-	m.zeroCopyReplies.Inc()
 	c.srv.bml.Put(frame)
 	return err
 }
@@ -436,175 +438,220 @@ func (c *serverConn) handleOp(h *header, start time.Time) error {
 	return c.reply(h.reqID, 0, EINVAL, 0, nil)
 }
 
-// handleWrite receives the payload into a BML buffer and executes, queues,
-// or stages it per the server mode. start is the dispatch timestamp; the
+// handleWrite runs a write through the server's one write path: admit,
+// place, then execute and acknowledge. start is the dispatch timestamp; the
 // recv stage is measured from it to payload-received (BML admission wait
 // included — that is the staging back-pressure the paper describes).
 func (c *serverConn) handleWrite(h *header, start time.Time) error {
 	s := c.srv
 	m := s.metrics
-	if h.length > MaxPayload {
-		return fmt.Errorf("%w: oversized write %d", EINVAL, h.length)
-	}
-	d, ok := c.db.lookup(h.fd)
-	if !ok {
-		// Drain the payload to keep the stream in sync.
-		if _, err := io.CopyN(io.Discard, c.nc, int64(h.length)); err != nil {
-			return err
-		}
-		return c.reply(h.reqID, 0, EBADF, 0, nil)
-	}
-	// Receive into a staging buffer. Allocation blocks under the BML cap,
-	// which back-pressures the client exactly as the paper describes. With
-	// BMLTimeout set, exhaustion instead degrades this write to the
-	// synchronous path with an unpooled buffer, so one stalled backend
-	// cannot wedge every forwarder on admission forever.
-	buf, pooled := s.bml.GetTimeout(int(h.length), s.cfg.BMLTimeout)
-	if !pooled {
-		buf = make([]byte, h.length)
-	}
-	putBuf := func() {
-		if pooled {
-			s.bml.Put(buf)
-		}
-	}
-	if _, err := io.ReadFull(c.nc, buf); err != nil {
-		putBuf()
+	w, errno, err := c.admitWrite(h, start)
+	if err != nil {
 		return err
 	}
-	recvd := time.Now()
-	m.stageRecv.Observe(recvd.Sub(start).Nanoseconds())
-	m.writeBytes.Observe(int64(h.length))
-	// Forwarding-node data filtering happens before offsets are reserved,
-	// so reduced output still lands contiguously under cursor writes.
-	if s.cfg.Filters != nil {
-		filtered, ferr := s.cfg.Filters.Apply(d.name, int64(h.offset), buf)
-		if ferr != nil {
-			putBuf()
-			return c.reply(h.reqID, 0, toErrno(ferr), 0, nil)
-		}
-		if len(filtered) > len(buf) {
-			putBuf()
-			return c.reply(h.reqID, 0, EINVAL, 0, nil)
-		}
-		if len(filtered) == 0 {
-			buf = buf[:0]
-		} else if &filtered[0] != &buf[0] || len(filtered) != len(buf) {
-			n := copy(buf, filtered)
-			buf = buf[:n]
-		}
-	}
-	// Overload shedding happens before the cursor is reserved or anything
-	// is staged, so a shed write has no side effect and EAGAIN is safely
-	// retryable.
-	if s.shouldShed() {
-		putBuf()
-		m.shed.Inc()
-		return c.reply(h.reqID, 0, EAGAIN, 0, nil)
-	}
-	var off int64
-	var opNum uint64
-	if h.op == OpPwrite {
-		off = int64(h.offset)
-		opNum = d.at()
-	} else {
-		off, opNum = d.nextOffset(int64(len(buf)))
+	if errno != EOK {
+		return c.reply(h.reqID, 0, errno, 0, nil)
 	}
 	n := int64(h.length)
-	m.bytesWritten.Add(uint64(n))
+	p := c.placeWrite(&w)
+	switch p {
+	case placeSpilled:
+		c.release(&w) // the spiller copied the payload into its frame
+		// Deferred flags are folded in only after the append landed, so a
+		// refused spill leaves the pending error for the fallback reply.
+		flags, errno := deferredFlags(w.d)
+		return c.reply(h.reqID, flags|FlagStaged|FlagSpilled, errno, n, nil)
 
-	// A write that missed staging admission is first offered to the spill
-	// tier (when one is configured): the payload is durably logged locally
-	// and acknowledged, and the background drainer applies it to the
-	// backend later — burst absorption instead of sync collapse. The spill
-	// registers with the descriptor's in-flight bookkeeping exactly like a
-	// staged op, so reads, fsync, and close drain it and its failure
-	// surfaces as a deferred error.
-	//
-	// Ordering: the spill drainer is a second executor outside the
-	// descriptor's scheduler shard, so while any of the descriptor's
-	// spilled records are still live in the WAL (replayable by a crash
-	// recovery), subsequent writes — pooled or not — also route through
-	// the WAL: its per-name FIFO keeps two acknowledged writes to the same
-	// offset ordered, both live and across a restart replay.
-	if s.cfg.Mode == ModeAsync && s.cfg.Spill != nil && (!pooled || d.spillPending()) {
-		d.start()
-		d.spillStart()
-		serr := s.cfg.Spill.Append(d.name, off, buf,
-			func(e error) { d.complete(opNum, e) }, d.spillRelease)
-		if serr == nil {
-			m.spilled.Inc()
-			m.stageSpill.Observe(time.Since(recvd).Nanoseconds())
-			putBuf() // the spiller copied the payload into its frame
-			// Deferred flags are folded in only after the append landed, so
-			// a refused spill leaves the pending error for the fallback
-			// reply below to report.
-			flags, errno := deferredFlags(d)
-			return c.reply(h.reqID, flags|FlagStaged|FlagSpilled, errno, n, nil)
-		}
-		d.spillRelease()       // undo spillStart: the record never entered the log
-		d.complete(opNum, nil) // undo start: ditto
-		m.spillRejects.Inc()
-		// Refused while older spilled records are still live: this write
-		// must not overtake them on the sync or staged path (a recovery
-		// replay could also undo it), so wait for the WAL to apply, flush,
-		// and truncate them first.
-		d.waitSpillReleased()
-	}
-
-	// A degraded (unpooled) write always executes synchronously: it must
-	// not enter the queue, whose write path returns buffers to the pool.
-	if s.cfg.Mode == ModeDirect || !pooled {
-		if !pooled {
-			m.bmlDegraded.Inc()
-		}
-		_, err := c.safeWriteAt(d, buf, off)
-		m.stageBackend.Observe(time.Since(recvd).Nanoseconds())
-		putBuf()
-		var flags uint16
-		if !pooled {
-			flags = FlagDegraded
-		}
-		return c.reply(h.reqID, flags, toErrno(err), n, nil)
-	}
-
-	switch s.cfg.Mode {
-	case ModeWorkQueue:
-		done := make(chan error, 1)
-		if err := s.sched.put(&task{d: d, op: OpWrite, buf: buf, off: off, done: done, enq: recvd}); err != nil {
-			s.bml.Put(buf)
-			m.queueRejects.Inc()
-			return c.reply(h.reqID, 0, toErrno(err), 0, nil)
-		}
-		err := <-done
-		return c.reply(h.reqID, 0, toErrno(err), n, nil)
-
-	case ModeAsync:
-		flags, errno := deferredFlags(d)
-		d.start()
-		if err := s.sched.put(&task{d: d, op: OpWrite, buf: buf, off: off, opNum: opNum, enq: recvd}); err != nil {
-			d.complete(opNum, nil) // undo start: the op never entered the queue
-			s.bml.Put(buf)
+	case placeStaged:
+		flags, errno := deferredFlags(w.d)
+		w.d.start()
+		if err := s.sched.put(&task{d: w.d, op: OpWrite, buf: w.buf, off: w.off, opNum: w.opNum, enq: w.recvd}); err != nil {
+			w.d.complete(w.opNum, nil) // undo start: the op never entered the queue
+			c.release(&w)
 			m.queueRejects.Inc()
 			return c.reply(h.reqID, flags, ECLOSED, 0, nil)
 		}
 		m.staged.Inc()
 		return c.reply(h.reqID, flags|FlagStaged, errno, n, nil)
 	}
-	s.bml.Put(buf)
-	return c.reply(h.reqID, 0, EINVAL, 0, nil)
+	var flags uint16
+	if !w.pooled {
+		m.bmlDegraded.Inc()
+		flags = FlagDegraded
+	}
+	_, rejected, err := c.runSync(task{d: w.d, op: OpWrite, buf: w.buf, off: w.off, enq: w.recvd}, p == placeInline)
+	c.release(&w)
+	if rejected {
+		return c.reply(h.reqID, 0, toErrno(err), 0, nil)
+	}
+	return c.reply(h.reqID, flags, toErrno(err), n, nil)
 }
 
-// safeWriteAt executes a direct-path backend write, converting a backend
-// panic into EIO for this op alone.
-func (c *serverConn) safeWriteAt(d *descriptor, buf []byte, off int64) (n int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			c.srv.metrics.connPanics.Inc()
-			err = fmt.Errorf("%w: handler recovered panic: %v", EIO, r)
+// admittedWrite is a write that passed admission: its payload sits in buf
+// (a BML buffer when pooled, an unpooled degraded one otherwise), the
+// filters have run over it, and its offset and op number are reserved.
+type admittedWrite struct {
+	d      *descriptor
+	buf    []byte
+	pooled bool
+	off    int64
+	opNum  uint64
+	recvd  time.Time
+}
+
+// release returns w's buffer to the staging pool if it came from there.
+func (c *serverConn) release(w *admittedWrite) {
+	if w.pooled {
+		c.srv.bml.Put(w.buf)
+	}
+}
+
+// admitWrite is the write path's admission step: descriptor lookup, BML
+// admission, payload receive, filters, overload shedding, and offset
+// reservation, in that order. A refusal is returned as a non-OK errno for
+// the caller to reply with; it happens before the offset is reserved, so a
+// refused write has no side effect (EAGAIN is safely retryable) and holds
+// no buffer. A non-nil error means the connection failed.
+func (c *serverConn) admitWrite(h *header, start time.Time) (w admittedWrite, errno Errno, err error) {
+	s := c.srv
+	m := s.metrics
+	d, ok := c.db.lookup(h.fd)
+	if !ok {
+		// Drain the payload to keep the stream in sync.
+		if _, err := io.CopyN(io.Discard, c.nc, int64(h.length)); err != nil {
+			return w, EOK, err
 		}
-	}()
-	return d.handle.WriteAt(buf, off)
+		return w, EBADF, nil
+	}
+	w.d = d
+	// Receive into a staging buffer. Allocation blocks under the BML cap,
+	// which back-pressures the client exactly as the paper describes. With
+	// BMLTimeout set, exhaustion instead degrades this write to an unpooled
+	// buffer, so one stalled backend cannot wedge every forwarder on
+	// admission forever.
+	w.buf, w.pooled = s.bml.GetTimeout(int(h.length), s.cfg.BMLTimeout)
+	if !w.pooled {
+		w.buf = make([]byte, h.length)
+	}
+	if _, err := io.ReadFull(c.nc, w.buf); err != nil {
+		c.release(&w)
+		return w, EOK, err
+	}
+	w.recvd = time.Now()
+	m.stageRecv.Observe(w.recvd.Sub(start).Nanoseconds())
+	m.writeBytes.Observe(int64(h.length))
+	// Forwarding-node data filtering happens before offsets are reserved,
+	// so reduced output still lands contiguously under cursor writes.
+	if s.cfg.Filters != nil {
+		filtered, ferr := s.cfg.Filters.Apply(d.name, int64(h.offset), w.buf)
+		if ferr != nil {
+			c.release(&w)
+			return w, toErrno(ferr), nil
+		}
+		if len(filtered) > len(w.buf) {
+			c.release(&w)
+			return w, EINVAL, nil
+		}
+		if len(filtered) == 0 {
+			w.buf = w.buf[:0]
+		} else if &filtered[0] != &w.buf[0] || len(filtered) != len(w.buf) {
+			w.buf = w.buf[:copy(w.buf, filtered)]
+		}
+	}
+	if s.shouldShed() {
+		c.release(&w)
+		m.shed.Inc()
+		return w, EAGAIN, nil
+	}
+	if h.op == OpPwrite {
+		w.off = int64(h.offset)
+		w.opNum = d.at()
+	} else {
+		w.off, w.opNum = d.nextOffset(int64(len(w.buf)))
+	}
+	m.bytesWritten.Add(uint64(h.length))
+	return w, EOK, nil
+}
+
+// placement is where an admitted write executes.
+type placement int
+
+const (
+	placeInline  placement = iota // on this handler; acknowledged after it ran
+	placeQueued                   // on the worker pool; acknowledged after it ran
+	placeStaged                   // on the worker pool; acknowledged once queued
+	placeSpilled                  // logged by the spill tier and acknowledged; drained later
+)
+
+// placeWrite is the write path's one placement decision (DESIGN §6):
+//
+//   - async with a spill tier, and the write degraded or the descriptor
+//     still has live spilled records: spilled. If the tier refuses, wait
+//     for those records to be released and fall through (the ordering
+//     rule on descriptor, descdb.go);
+//   - direct mode, or a degraded write: inline. A degraded write is
+//     synchronous by contract (FlagDegraded), and its unpooled buffer must
+//     not be staged, since staging returns buffers to the pool;
+//   - workqueue: queued;
+//   - async: staged.
+func (c *serverConn) placeWrite(w *admittedWrite) placement {
+	s := c.srv
+	if s.cfg.Mode == ModeAsync && s.cfg.Spill != nil && (!w.pooled || w.d.spillPending()) {
+		if c.spill(w) {
+			return placeSpilled
+		}
+		w.d.waitSpillReleased()
+	}
+	switch {
+	case s.cfg.Mode == ModeDirect || !w.pooled:
+		return placeInline
+	case s.cfg.Mode == ModeWorkQueue:
+		return placeQueued
+	}
+	return placeStaged
+}
+
+// spill offers w to the spill tier and reports whether the tier accepted
+// it. An accepted record counts as a staged op on its descriptor until
+// the drainer's done callback, so reads, fsync, and close drain it and its
+// failure surfaces as a deferred error; it also counts as live in the WAL
+// until released.
+func (c *serverConn) spill(w *admittedWrite) bool {
+	s := c.srv
+	m := s.metrics
+	d, opNum := w.d, w.opNum
+	d.start()
+	d.spillStart()
+	if err := s.cfg.Spill.Append(d.name, w.off, w.buf, func(e error) { d.complete(opNum, e) }, d.spillRelease); err != nil {
+		d.spillRelease()       // undo spillStart: the record never entered the log
+		d.complete(opNum, nil) // undo start: ditto
+		m.spillRejects.Inc()
+		return false
+	}
+	m.spilled.Inc()
+	m.stageSpill.Observe(time.Since(w.recvd).Nanoseconds())
+	return true
+}
+
+// runSync executes t and waits for its backend result: on this handler
+// when inline is set, otherwise on the worker pool. rejected reports that
+// the pool refused t because the server is shutting down, so t never ran.
+// Either way the caller keeps ownership of t.buf.
+func (c *serverConn) runSync(t task, inline bool) (n int, rejected bool, err error) {
+	s := c.srv
+	if inline {
+		err = s.runTask(&t, s.metrics.connPanics)
+		s.metrics.stageBackend.Observe(time.Since(t.enq).Nanoseconds())
+		return t.n, false, err
+	}
+	q := t
+	q.done = make(chan error, 1)
+	if err := s.sched.put(&q); err != nil {
+		s.metrics.queueRejects.Inc()
+		return 0, true, err
+	}
+	err = <-q.done
+	return q.n, false, err
 }
 
 // handleRead executes or queues a read; reads block for the data in every
@@ -619,9 +666,6 @@ func (c *serverConn) safeWriteAt(d *descriptor, buf []byte, off int64) (n int, e
 func (c *serverConn) handleRead(h *header) error {
 	s := c.srv
 	m := s.metrics
-	if h.length > MaxPayload {
-		return fmt.Errorf("%w: oversized read %d", EINVAL, h.length)
-	}
 	d, ok := c.db.lookup(h.fd)
 	if !ok {
 		return c.reply(h.reqID, 0, EBADF, 0, nil)
@@ -651,23 +695,11 @@ func (c *serverConn) handleRead(h *header) error {
 		flags, derrno = deferredFlags(d)
 	}
 	frame := s.bml.Lease(int(h.length))
-	buf := frame[headerSize : headerSize+int(h.length)]
-	ready := time.Now()
-	var n int
-	var err error
-	if s.cfg.Mode == ModeDirect {
-		n, err = c.safeReadAt(d, buf, off)
-		m.stageBackend.Observe(time.Since(ready).Nanoseconds())
-	} else {
-		done := make(chan error, 1)
-		t := &task{d: d, op: OpRead, buf: buf, off: off, done: done, enq: ready}
-		if qerr := s.sched.put(t); qerr != nil {
-			s.bml.Put(frame)
-			m.queueRejects.Inc()
-			return c.reply(h.reqID, flags, toErrno(qerr), 0, nil)
-		}
-		err = <-done
-		n = t.n
+	t := task{d: d, op: OpRead, buf: frame[headerSize : headerSize+int(h.length)], off: off, enq: time.Now()}
+	n, rejected, err := c.runSync(t, s.cfg.Mode == ModeDirect)
+	if rejected {
+		s.bml.Put(frame)
+		return c.reply(h.reqID, flags, toErrno(err), 0, nil)
 	}
 	m.readBytes.Observe(int64(n))
 	m.bytesRead.Add(uint64(n))
@@ -676,16 +708,4 @@ func (c *serverConn) handleRead(h *header) error {
 		errno = derrno
 	}
 	return c.replyFrame(h.reqID, flags, errno, frame, n)
-}
-
-// safeReadAt executes a direct-path backend read, converting a backend
-// panic into EIO for this op alone.
-func (c *serverConn) safeReadAt(d *descriptor, buf []byte, off int64) (n int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			c.srv.metrics.connPanics.Inc()
-			err = fmt.Errorf("%w: handler recovered panic: %v", EIO, r)
-		}
-	}()
-	return d.handle.ReadAt(buf, off)
 }

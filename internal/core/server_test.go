@@ -16,12 +16,23 @@ func pipePair(t *testing.T, cfg Config) (*Client, *Server) {
 	s := NewServer(cfg)
 	cc, sc := net.Pipe()
 	go func() { _ = s.ServeConn(sc) }()
-	c := NewClient(cc)
+	c := mustClient(t, cc, ClientConfig{})
 	t.Cleanup(func() {
 		_ = c.Close()
 		_ = s.Close()
 	})
 	return c, s
+}
+
+// mustClient wraps nc in a client built from cfg, failing the test if cfg
+// does not validate.
+func mustClient(t testing.TB, nc net.Conn, cfg ClientConfig) *Client {
+	t.Helper()
+	c, err := cfg.Client(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 var allModes = []Mode{ModeDirect, ModeWorkQueue, ModeAsync}
@@ -206,7 +217,7 @@ func TestConcurrentClientsOverTCP(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					errs <- func() error {
-						c, err := Dial("tcp", l.Addr().String())
+						c, err := ClientConfig{}.Dial(context.Background(), "tcp", l.Addr().String())
 						if err != nil {
 							return err
 						}
@@ -263,7 +274,7 @@ func TestServerTeardownDrainsStagedWrites(t *testing.T) {
 	cc, sc := net.Pipe()
 	done := make(chan struct{})
 	go func() { _ = s.ServeConn(sc); close(done) }()
-	c := NewClient(cc)
+	c := mustClient(t, cc, ClientConfig{})
 	f, err := c.Open(context.Background(), "orphan")
 	if err != nil {
 		t.Fatal(err)

@@ -25,12 +25,10 @@ package core
 //
 // released, when non-nil, is invoked at most once, strictly after done,
 // when the record's durable copy has left the log (its segment was
-// truncated after the backend was flushed). Until it fires, a crash
-// recovery could re-apply the record; the server therefore keeps routing
-// the descriptor's subsequent writes through the spill tier — whose
-// per-name FIFO keeps them ordered, both live and across a replay — rather
-// than racing them on another executor (see descriptor ordering contract
-// in descdb.go).
+// truncated after the backend was flushed). Until it fires the server
+// keeps placing the descriptor's later writes in the spill tier (the
+// ordering rule on descriptor, descdb.go), so Append must keep one name's
+// records in FIFO order, both live and across a replay.
 type Spiller interface {
 	Append(name string, off int64, data []byte, done func(error), released func()) error
 }

@@ -35,6 +35,10 @@ const (
 	e2ePlugs   = 16       // fills the 1 MiB pool
 )
 
+// e2eClient is the drill's client: every op is bounded so a daemon killed
+// mid-reply fails the op instead of hanging the test.
+var e2eClient = core.ClientConfig{Timeout: 5 * time.Second}
+
 var (
 	fwddOnce sync.Once
 	fwddBin  string
@@ -188,7 +192,7 @@ func crashArgs(root, walDir string, segBytes int64, plugLat time.Duration, crash
 // "data" until the daemon dies, returning which records were acknowledged.
 func runBurst(t *testing.T, addr string, nData int) []bool {
 	t.Helper()
-	c, err := core.Dial("tcp", addr, core.WithTimeout(5*time.Second))
+	c, err := e2eClient.Dial(context.Background(), "tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +226,7 @@ func runBurst(t *testing.T, addr string, nData int) []bool {
 // cohorts; each worker's WriteAt return is its ack, recorded per record.
 func runBurstConcurrent(t *testing.T, addr string, workers, perWorker int) []bool {
 	t.Helper()
-	c, err := core.Dial("tcp", addr, core.WithTimeout(5*time.Second))
+	c, err := e2eClient.Dial(context.Background(), "tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +246,7 @@ func runBurstConcurrent(t *testing.T, addr string, workers, perWorker int) []boo
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wc, err := core.Dial("tcp", addr, core.WithTimeout(5*time.Second))
+			wc, err := e2eClient.Dial(context.Background(), "tcp", addr)
 			if err != nil {
 				return // the daemon died before this worker connected
 			}
@@ -268,7 +272,7 @@ func runBurstConcurrent(t *testing.T, addr string, workers, perWorker int) []boo
 // daemon and checks it byte for byte.
 func verifyRecovered(t *testing.T, addr string, acked []bool) int {
 	t.Helper()
-	c, err := core.Dial("tcp", addr, core.WithTimeout(5*time.Second))
+	c, err := e2eClient.Dial(context.Background(), "tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
